@@ -313,9 +313,16 @@ fn phases_json(stats: &Stats) -> Json {
 
 fn run_json(wall: Duration, report: &ProgramReport, mem: Option<&MemDelta>) -> Json {
     let stats = &report.stats;
+    let phases: Duration = stats.unify + stats.applys + stats.project + stats.sat;
+    let other = wall.saturating_sub(phases + stats.env);
     let mut members = vec![
         ("wall_s", Json::Float(wall.as_secs_f64())),
         ("phases", phases_json(stats)),
+        // Environment maintenance and the rest of the wall, beside (not
+        // inside) the four paper phases: wall = phases + env + other.
+        ("env_s", Json::Float(stats.env.as_secs_f64())),
+        ("env_layer_copies", Json::Int(stats.env_layer_copies as i64)),
+        ("other_s", Json::Float(other.as_secs_f64())),
         ("unify_calls", Json::Int(stats.unify_calls as i64)),
         ("applys_calls", Json::Int(stats.applys_calls as i64)),
         ("sat_checks", Json::Int(stats.sat_calls as i64)),

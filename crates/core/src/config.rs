@@ -146,6 +146,17 @@ pub struct Stats {
     pub project: Duration,
     /// Total wall-clock time of the run the phases were carved out of.
     pub wall: Duration,
+    /// Time growing the environment: freezing each finished top-level
+    /// definition into the global layer, and generalizing the type of
+    /// every definition, top-level or `let`. Disjoint from the four
+    /// phases, and not one of them: [`Stats::phase_durations`] leaves
+    /// it out.
+    pub env: Duration,
+    /// How many times [`rowpoly_types::TyEnv::freeze`] had to copy the
+    /// global layer because another environment still shared it. The
+    /// driver and group loops drop the previous environment before each
+    /// freeze, so this stays 0 there.
+    pub env_layer_copies: usize,
     /// Bytes allocated while unification was the innermost open phase
     /// (0 unless memory accounting is on; exclusive, like the durations).
     pub unify_alloc_bytes: u64,
@@ -238,6 +249,8 @@ impl Stats {
         self.sat += other.sat;
         self.project += other.project;
         self.wall += other.wall;
+        self.env += other.env;
+        self.env_layer_copies += other.env_layer_copies;
         self.unify_alloc_bytes += other.unify_alloc_bytes;
         self.applys_alloc_bytes += other.applys_alloc_bytes;
         self.sat_alloc_bytes += other.sat_alloc_bytes;
@@ -260,5 +273,27 @@ impl Stats {
         {
             *mine += theirs;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merge_sums_environment_time_and_layer_copies() {
+        let mut a = Stats {
+            env: Duration::from_millis(2),
+            env_layer_copies: 1,
+            ..Stats::default()
+        };
+        let b = Stats {
+            env: Duration::from_millis(3),
+            env_layer_copies: 2,
+            ..Stats::default()
+        };
+        a.merge(&b);
+        assert_eq!(a.env, Duration::from_millis(5));
+        assert_eq!(a.env_layer_copies, 3);
     }
 }

@@ -168,7 +168,7 @@ impl Session {
         };
         let mut env = builtin_env(&mut engine, &needed);
         bind_free_vars(&mut engine, &mut env, program);
-        env.freeze();
+        engine.freeze_env(&mut env);
 
         let mut defs = Vec::new();
         let mut sat_class = SatClass::Trivial;
@@ -181,9 +181,12 @@ impl Session {
             // Move the definition's flow into its scheme, keeping the
             // working β proportional to one definition.
             engine.finish_def(&mut scheme, &env_after);
+            // Dropping the previous environment here leaves `env` the
+            // only holder of the global layer, so the freeze extends it
+            // in place instead of copying it.
             env = env_after;
             env.insert(def.name, Binding::Poly(scheme.clone()));
-            env.freeze();
+            engine.freeze_env(&mut env);
             let def_class = classify(&scheme.flow);
             defs.push(DefReport {
                 name: def.name,
@@ -226,7 +229,7 @@ impl Session {
                 env.insert(x, Binding::Mono(Ty::Var(v, f)));
             }
         }
-        env.freeze();
+        engine.freeze_env(&mut env);
         let (ty, env1) = engine.infer(&env, expr)?;
         engine.check_sat(expr.span, None)?;
         Ok((ty, env1))

@@ -32,6 +32,7 @@ use rowpoly_types::{
     apply_subst_flow, flag_lits, generalize, instantiate, mgu, Binding, FieldEntry, RowTail,
     Scheme, Subst, Ty, TyEnv, Var, VarAlloc, NO_FLAG,
 };
+use std::time::Instant;
 
 use crate::config::{CheckPolicy, Compaction, Options, Stats};
 use crate::error::{FlagOrigin, Provenance, TypeError, TypeErrorKind};
@@ -132,6 +133,25 @@ impl FlowInfer {
     /// Whether field flows are tracked (Fig. 9's "w. fields" column).
     pub fn tracking(&self) -> bool {
         self.opts.track_fields
+    }
+
+    /// Freezes `env`'s local layer into its global one (see
+    /// [`TyEnv::freeze`]), charging the time to [`Stats::env`] and a
+    /// copy of a shared layer to [`Stats::env_layer_copies`].
+    pub fn freeze_env(&mut self, env: &mut TyEnv) {
+        let start = Instant::now();
+        if env.freeze() {
+            self.counts.env_layer_copies += 1;
+        }
+        self.counts.env += start.elapsed();
+    }
+
+    /// [`generalize`], charged to [`Stats::env`].
+    fn generalize_timed(&mut self, env: &TyEnv, ty: &Ty) -> Scheme {
+        let start = Instant::now();
+        let scheme = generalize(env, ty);
+        self.counts.env += start.elapsed();
+        scheme
     }
 
     /// Folds projection work done outside the engine (e.g. closing a
@@ -638,12 +658,12 @@ impl FlowInfer {
         let Some(binding) = env.get(x) else {
             return Err(TypeError::new(TypeErrorKind::Unbound(x), span));
         };
-        match binding.clone() {
+        match binding {
             Binding::Mono(t) => {
                 // tx = ⇑RP(⇓RP(ρ(x))) with *tx+ ⇒ *ρ(x)+.
-                let tx = self.decorate(&t);
+                let tx = self.decorate(t);
                 if self.opts.track_fields {
-                    self.beta.imply_seq(&flag_lits(&tx), &flag_lits(&t));
+                    self.beta.imply_seq(&flag_lits(&tx), &flag_lits(t));
                     self.inherit_provenance(&t.flags(), &tx.flags());
                 }
                 Ok((tx, env.clone()))
@@ -651,8 +671,7 @@ impl FlowInfer {
             Binding::Poly(scheme) => {
                 let t = if self.opts.track_fields {
                     let old = scheme.ty.flags();
-                    let inst =
-                        instantiate(&scheme, &mut self.vars, &mut self.flags, &mut self.beta);
+                    let inst = instantiate(scheme, &mut self.vars, &mut self.flags, &mut self.beta);
                     self.inherit_provenance(&old, &inst.flags());
                     inst
                 } else {
@@ -781,13 +800,13 @@ impl FlowInfer {
         let recursive = bound.free_vars().contains(&name);
         if !recursive {
             let (tb, envb) = self.infer(env, bound)?;
-            Ok((generalize(&envb, &tb), envb))
+            Ok((self.generalize_timed(&envb, &tb), envb))
         } else {
             let mut cur_env = env.clone();
             let mut cur_ty = self.fresh_var();
             let mut converged = false;
             for _ in 0..self.opts.max_letrec_iters {
-                let scheme = generalize(&cur_env, &cur_ty);
+                let scheme = self.generalize_timed(&cur_env, &cur_ty);
                 let mut env_x = cur_env.clone();
                 env_x.insert(name, Binding::Poly(scheme));
                 let (t_next, mut env_next) = self.infer(&env_x, bound)?;
@@ -807,7 +826,7 @@ impl FlowInfer {
             if !converged {
                 return Err(TypeError::new(TypeErrorKind::RecursionDiverged(name), span));
             }
-            Ok((generalize(&cur_env, &cur_ty), cur_env))
+            Ok((self.generalize_timed(&cur_env, &cur_ty), cur_env))
         }
     }
 

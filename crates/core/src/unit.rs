@@ -276,7 +276,7 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
             env.insert(x, Binding::Mono(Ty::Var(v, f)));
         }
     }
-    env.freeze();
+    engine.freeze_env(&mut env);
 
     let mut items: Vec<(usize, DefVerdict)> = Vec::with_capacity(spec.def_indices.len());
     let mut stopped_at: Option<Symbol> = None;
@@ -296,7 +296,7 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
             // Group members see the scheme as the serial driver
             // would; the published report carries the closed copy.
             env.insert(def.name, Binding::Poly(scheme.clone()));
-            env.freeze();
+            engine.freeze_env(&mut env);
             let closed = close_scheme(&mut scheme);
             engine.note_projection(&closed);
             let sat_class = classify(&scheme.flow);
@@ -397,6 +397,14 @@ mod tests {
                 assert!(own.contains(&f), "closed flow leaks flag {f:?}");
             }
         }
+    }
+
+    #[test]
+    fn group_loop_extends_the_global_layer_in_place() {
+        let src = "def a = {x = 1}\ndef b = #x a\ndef c = b + 1\ndef d y = c + y";
+        let out = job(src, vec![0, 1, 2, 3], Vec::new()).run();
+        assert!(out.all_ok());
+        assert_eq!(out.stats.env_layer_copies, 0);
     }
 
     #[test]

@@ -234,6 +234,7 @@ mod tests {
 
     #[test]
     fn timeline_trace_has_one_named_track_per_worker() {
+        let _serial = crate::contention::session_test_lock();
         let profiler = crate::timeline::Profiler::new();
         let mut a = profiler.worker(0);
         a.begin_with(|| "job 0".to_string());

@@ -60,6 +60,16 @@ impl Drop for ProfilingSession {
     }
 }
 
+/// Serializes this crate's unit tests that open a profiling session
+/// (directly or through `Profiler::new`) with the test asserting that
+/// nothing registers without one: the session count is process-wide,
+/// so a sibling's open session would let that test's timer register.
+#[cfg(test)]
+pub(crate) fn session_test_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    unpoisoned(LOCK.lock())
+}
+
 thread_local! {
     static THREAD_WAIT_NS: Cell<u64> = const { Cell::new(0) };
 }
@@ -321,6 +331,7 @@ mod tests {
 
     #[test]
     fn disabled_profiling_records_nothing() {
+        let _serial = session_test_lock();
         // No session: the timer must not even register.
         let m = Mutex::new(0);
         let _g = IDLE_LOCK.lock(&m);
@@ -329,6 +340,7 @@ mod tests {
 
     #[test]
     fn contended_waits_are_counted_and_attributed() {
+        let _serial = session_test_lock();
         let _session = profiling_session();
         let m = Arc::new(Mutex::new(0u32));
         let before = snapshot();

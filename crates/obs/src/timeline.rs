@@ -479,6 +479,7 @@ mod tests {
 
     #[test]
     fn spans_balance_and_time_accumulates() {
+        let _serial = crate::contention::session_test_lock();
         let profiler = Profiler::new();
         let mut tl = profiler.worker(3);
         tl.begin_with(|| "job a".to_string());
@@ -500,6 +501,7 @@ mod tests {
 
     #[test]
     fn utilization_buckets_fit_in_wall() {
+        let _serial = crate::contention::session_test_lock();
         let profiler = Profiler::new();
         let mut tl = profiler.worker(0);
         let m = tl.mark();
@@ -520,6 +522,7 @@ mod tests {
 
     #[test]
     fn wave_markers_fire_once_per_wave() {
+        let _serial = crate::contention::session_test_lock();
         let profiler = Profiler::new();
         assert!(profiler.first_of_wave(0));
         assert!(!profiler.first_of_wave(0));
@@ -529,6 +532,7 @@ mod tests {
 
     #[test]
     fn job_records_sort_by_scheduler_id() {
+        let _serial = crate::contention::session_test_lock();
         let profiler = Profiler::new();
         let mut a = profiler.worker(1);
         a.push_job(JobRecord {

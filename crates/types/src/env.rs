@@ -101,7 +101,10 @@ fn next_version() -> u64 {
 /// environment meets, flag-sequence equations) only ever walk the small
 /// *local* layer — this is what keeps whole-program inference from
 /// degrading quadratically in the number of definitions.
-#[derive(Debug, Default)]
+///
+/// The layer is append-only: [`TyEnv::freeze`] extends it in place, and
+/// copies it only when another environment still shares it.
+#[derive(Clone, Debug, Default)]
 struct GlobalLayer {
     map: BTreeMap<Symbol, Binding>,
     /// All flags occurring in the layer.
@@ -214,25 +217,28 @@ impl TyEnv {
     }
 
     /// Freezes the local layer into the global one, extending the cached
-    /// flag and free-variable sets. Called by the driver after each
-    /// top-level definition.
-    pub fn freeze(&mut self) {
+    /// flag and free-variable sets by the new bindings only. Called by the
+    /// driver after each top-level definition.
+    ///
+    /// The global layer is extended in place, in O(new bindings), when
+    /// this environment is its only holder. When another environment
+    /// still shares it, the layer is copied first (copy-on-write), so
+    /// that environment keeps seeing exactly what it saw before. Returns
+    /// whether that copy happened.
+    pub fn freeze(&mut self) -> bool {
         if self.local.is_empty() {
-            return;
+            return false;
         }
-        let mut global = GlobalLayer {
-            map: self.global.map.clone(),
-            flags: self.global.flags.clone(),
-            free_vars: self.global.free_vars.clone(),
-        };
-        for (name, binding) in self.local.iter() {
+        let before = Rc::as_ptr(&self.global);
+        let global = Rc::make_mut(&mut self.global);
+        let copied = !std::ptr::eq(before, global);
+        for (name, binding) in Rc::unwrap_or_clone(std::mem::take(&mut self.local)) {
             global.flags.extend(binding.ty().flags());
             global.free_vars.extend(binding.free_vars());
-            global.map.insert(*name, binding.clone());
+            global.map.insert(name, binding);
         }
-        self.global = Rc::new(global);
-        self.local = Rc::new(BTreeMap::new());
         self.version = next_version();
+        copied
     }
 
     /// Iterates *all* bindings in symbol order (global entries shadowed by
@@ -457,6 +463,48 @@ mod tests {
         assert!(env.global_flags().contains(&f));
         assert!(env.global_free_vars().contains(&Var(0)));
         assert_eq!(env.len(), 1);
+    }
+
+    #[test]
+    fn freeze_extends_an_unshared_layer_in_place() {
+        let mut env = TyEnv::new();
+        env.insert(sym("a"), Binding::Mono(Ty::Int));
+        assert!(!env.freeze(), "a fresh layer has one holder");
+        let layer = Rc::as_ptr(&env.global);
+        let version = env.version();
+        env.insert(sym("b"), Binding::Mono(Ty::Str));
+        assert!(!env.freeze(), "sole holder: extended in place");
+        assert!(std::ptr::eq(layer, Rc::as_ptr(&env.global)), "same layer");
+        assert_ne!(env.version(), version, "freezing still bumps the version");
+        assert_eq!(env.len(), 2);
+        assert!(env.iter_local().next().is_none());
+
+        let version = env.version();
+        assert!(!env.freeze(), "nothing to freeze");
+        assert_eq!(env.version(), version, "an empty freeze changes nothing");
+    }
+
+    #[test]
+    fn freeze_copies_a_shared_layer_and_isolates_the_clone() {
+        let mut flags = FlagAlloc::new();
+        let f = flags.fresh();
+        let mut env = TyEnv::new();
+        env.insert(sym("a"), Binding::Mono(Ty::Int));
+        env.freeze();
+        let snapshot = env.clone();
+        env.insert(sym("b"), Binding::Mono(Ty::var(Var(7), f)));
+        assert!(env.freeze(), "the clone still holds the layer");
+        assert!(!env.same_global(&snapshot));
+        assert!(!env.same(&snapshot));
+        assert_ne!(env.version(), snapshot.version());
+        assert!(env.get(sym("b")).is_some());
+        assert!(env.global_flags().contains(&f));
+        assert!(env.global_free_vars().contains(&Var(7)));
+        // The clone sees exactly the layer it was taken with.
+        assert!(snapshot.get(sym("b")).is_none());
+        assert!(!snapshot.global_flags().contains(&f));
+        assert!(!snapshot.global_free_vars().contains(&Var(7)));
+        assert_eq!(snapshot.len(), 1);
     }
 
     #[test]

@@ -26,6 +26,13 @@ case "$out" in
   *) echo "    fig9 --json did not emit a JSON object" >&2; exit 1 ;;
 esac
 
+echo "==> fig9 growth gate (committed BENCH_fig9.json + quick live run)"
+# The committed full-scale report must keep the w/o-fields growth from
+# Intel x86 to Intel x86 + Sem within the paper's 2.5x; both reports
+# must show every freeze extending the global layer in place (zero
+# layer copies) and phases + env + other adding up to wall.
+printf '%s' "$out" | python3 scripts/check_fig9.py BENCH_fig9.json -
+
 echo "==> projection regression smoke (phase budget + fast-path accounting)"
 # Three quick runs; the gate takes the cleanest one (noise only ever
 # inflates the project share).

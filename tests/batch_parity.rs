@@ -51,3 +51,48 @@ fn batch_matches_serial_on_generated_decoders() {
         }
     }
 }
+
+/// The serial driver drops the previous environment before freezing
+/// each finished definition into the global layer, so every freeze must
+/// extend the layer in place: one copy per definition would be O(defs)
+/// work each, quadratic over the program. The schemes stay the ones
+/// batch checking derives from the same text.
+#[test]
+fn whole_program_freeze_never_copies_the_global_layer() {
+    let (program, src) = generate_with_lines(2600, true, 1);
+    assert!(
+        program.defs.len() >= 200,
+        "workload too small: {} defs",
+        program.defs.len()
+    );
+    let serial = Session::default()
+        .infer_program(&program)
+        .expect("the generated decoder checks");
+    assert_eq!(
+        serial.stats.env_layer_copies, 0,
+        "a freeze copied the global layer"
+    );
+    assert!(serial.stats.env <= serial.stats.wall);
+
+    let report = check_sources(
+        vec![FileInput {
+            path: "decoder.rp".to_string(),
+            source: src,
+        }],
+        &BatchOptions::in_memory(1),
+    );
+    assert!(report.ok(), "{}", report.render());
+    let defs = report.files[0].defs.as_ref().expect("source parses");
+    assert_eq!(defs.len(), serial.defs.len());
+    for (batch_def, serial_def) in defs.iter().zip(&serial.defs) {
+        match &batch_def.verdict {
+            Verdict::Ok { scheme, .. } => assert_eq!(
+                scheme,
+                &serial_def.render(false),
+                "scheme drift for `{}`",
+                batch_def.name
+            ),
+            other => panic!("`{}` did not check: {other:?}", batch_def.name),
+        }
+    }
+}

@@ -184,6 +184,10 @@ fn projection_engine_counters_are_recorded() {
 #[test]
 fn profiled_batch_trace_has_stable_worker_tracks() {
     use rowpoly::batch::{check_sources, BatchOptions, FileInput};
+    // The batch run feeds the process-wide collector (`project.*`
+    // counters among others), so it must not overlap a sibling's
+    // snapshot.
+    let _g = lock();
 
     // Two files over a dependency chain each, so the run has several
     // groups and more than one wave.
